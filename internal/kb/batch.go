@@ -1,42 +1,44 @@
 package kb
 
 import (
-	"fmt"
 	"strconv"
 
 	"pka/internal/contingency"
 )
 
 // Batch answers a group of related queries against one knowledge base while
-// sharing the engine work they have in common. Queries are grouped by their
-// resolved evidence set: each distinct set is validated and resolved once,
-// its probability (the shared conditional denominator) is evaluated once,
-// and — on dense engines — every single-target conditional over the same
-// (evidence, attribute) pair is served from one batch conditional-slice
-// sweep (the engine's MarginalGiven path) instead of one pinned sum per
-// query. Joint probabilities, distributions, and MPE completions are
-// likewise deduplicated by canonical key.
+// sharing the engine work they have in common. It is the query session
+// with an intra-batch memo: queries are grouped by their resolved evidence
+// set, so each distinct set is validated and resolved once, its
+// probability (the shared conditional denominator) is evaluated once, and
+// — on dense engines — every single-target conditional over the same
+// (evidence, attribute) pair is served from one conditional-slice sweep.
+// Joint probabilities, distributions, and MPE completions are likewise
+// deduplicated by canonical key.
 //
-// Every float64 a Batch returns is bit-identical to the corresponding
-// KnowledgeBase method: cache hits replay values the per-query path would
-// recompute, and the dense batch sweep is bit-identical to the pinned sum
-// per cell (see sumprod.Compiled). On factored engines the conditional
-// fast path is disabled — block combination order differs between the
-// sweep and the pinned product — so only denominator and result reuse
-// apply there.
+// The six query methods are the KnowledgeBase methods' own bodies, so
+// every float64 a Batch returns is bit-identical to the corresponding
+// KnowledgeBase call: memo hits replay values the memo-less session would
+// recompute.
 //
 // A Batch is not safe for concurrent use; create one per query group. The
 // knowledge base underneath may be shared freely.
 type Batch struct {
-	k     *KnowledgeBase
+	session
+	memo batchMemo
+}
+
+// batchMemo is a Batch's intra-session reuse: resolved evidence and every
+// engine primitive it priced, keyed canonically.
+type batchMemo struct {
 	evals int
 
-	raw   map[string]*batchEvidence // rendered given slice -> resolved evidence
-	canon map[string]*batchEvidence // canonical (vars, values) key -> shared state
-	probs map[string]float64        // canonical key -> eng.Prob value
-	dists map[string][]float64      // canonical key + attr pos -> slice numerators
-	mpes  map[string]Explanation    // canonical key -> MPE completion
-	// keyBuf is the reusable scratch every cache key is rendered into: map
+	raw   map[string]*evidence   // rendered given slice -> resolved evidence
+	canon map[string]*evidence   // canonical (vars, values) key -> shared state
+	probs map[string]float64     // canonical key -> eng.Prob value
+	dists map[string][]float64   // canonical key + attr pos -> slice numerators
+	mpes  map[string]Explanation // canonical key -> MPE completion
+	// keyBuf is the reusable scratch every memo key is rendered into: map
 	// lookups go through the compiler's no-copy string(keyBuf) conversion,
 	// so the serving hot path allocates a key string only when inserting a
 	// genuinely new entry. (A Batch is single-goroutine by contract, so one
@@ -44,290 +46,81 @@ type Batch struct {
 	keyBuf []byte
 }
 
-// batchEvidence is one resolved evidence set shared by all queries that
-// name it (in any assignment order).
-type batchEvidence struct {
-	vs     contingency.VarSet
-	values []int
-	key    string
-	fixed  []int // lazily built full-width clamp vector for sweep calls
-}
-
 // NewBatch creates an empty batch session over the knowledge base.
 func NewBatch(k *KnowledgeBase) *Batch {
-	return &Batch{
-		k:     k,
-		raw:   make(map[string]*batchEvidence),
-		canon: make(map[string]*batchEvidence),
+	b := &Batch{memo: batchMemo{
+		raw:   make(map[string]*evidence),
+		canon: make(map[string]*evidence),
 		probs: make(map[string]float64),
 		dists: make(map[string][]float64),
 		mpes:  make(map[string]Explanation),
-	}
+	}}
+	b.session = session{k: k, m: &b.memo}
+	return b
 }
 
 // Evals returns the number of engine evaluations (pinned sums, batch
 // marginal sweeps, and MPE argmax passes) performed so far — the measure
-// batching drives down versus one-query-at-a-time serving.
-func (b *Batch) Evals() int { return b.evals }
+// batching drives down versus one-query-at-a-time serving. An engine
+// cache hit is not an evaluation.
+func (b *Batch) Evals() int { return b.memo.evals }
 
-// canonKey renders a resolved assignment canonically into the batch's key
-// scratch; the returned slice is valid until the next key rendering.
-func (b *Batch) canonKey(vs contingency.VarSet, values []int) []byte {
-	dst := vs.AppendKey(b.keyBuf[:0])
-	for _, v := range values {
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, int64(v), 10)
+// counted records one engine primitive priced for the memo.
+func (m *batchMemo) counted(cacheHit bool) {
+	if !cacheHit {
+		m.evals++
 	}
-	b.keyBuf = dst
-	return dst
+}
+
+// canonKey renders a resolved assignment canonically into the key
+// scratch; the returned slice is valid until the next key rendering.
+func (m *batchMemo) canonKey(vs contingency.VarSet, values []int) []byte {
+	m.keyBuf = appendAssignKey(m.keyBuf[:0], vs, values)
+	return m.keyBuf
+}
+
+// sliceKey renders the (evidence, attribute) key of a slice sweep into
+// the key scratch. Valid until the next key rendering.
+func (m *batchMemo) sliceKey(ev *evidence, pos int) []byte {
+	key := append(m.keyBuf[:0], ev.key...)
+	key = append(key, '|')
+	m.keyBuf = strconv.AppendInt(key, int64(pos), 10)
+	return m.keyBuf
 }
 
 // rawKey renders an assignment slice order-sensitively into the key
 // scratch, for the resolution memo (quoting keeps distinct slices from
 // colliding). Valid until the next key rendering.
-func (b *Batch) rawKey(assigns []Assignment) []byte {
-	dst := b.keyBuf[:0]
+func (m *batchMemo) rawKey(assigns []Assignment) []byte {
+	dst := m.keyBuf[:0]
 	for _, a := range assigns {
 		dst = strconv.AppendQuote(dst, a.Attr)
 		dst = append(dst, '=')
 		dst = strconv.AppendQuote(dst, a.Value)
 		dst = append(dst, ',')
 	}
-	b.keyBuf = dst
+	m.keyBuf = dst
 	return dst
 }
 
 // evidenceFor resolves an evidence slice once per distinct ordering and
 // shares the canonical state across orderings of the same set.
-func (b *Batch) evidenceFor(given []Assignment) (*batchEvidence, error) {
-	rk := b.rawKey(given)
-	if ev, ok := b.raw[string(rk)]; ok { // no-copy lookup
+func (m *batchMemo) evidenceFor(k *KnowledgeBase, given []Assignment) (*evidence, error) {
+	rk := m.rawKey(given)
+	if ev, ok := m.raw[string(rk)]; ok { // no-copy lookup
 		return ev, nil
 	}
 	rkStr := string(rk) // materialize before the scratch is reused below
-	vs, values, err := b.k.resolve(given)
+	vs, values, err := k.resolve(given)
 	if err != nil {
 		return nil, err
 	}
-	ck := b.canonKey(vs, values)
-	ev, ok := b.canon[string(ck)]
+	ck := m.canonKey(vs, values)
+	ev, ok := m.canon[string(ck)]
 	if !ok {
-		ev = &batchEvidence{vs: vs, values: values, key: string(ck)}
-		b.canon[ev.key] = ev
+		ev = &evidence{vs: vs, values: values, key: string(ck)}
+		m.canon[ev.key] = ev
 	}
-	b.raw[rkStr] = ev
+	m.raw[rkStr] = ev
 	return ev, nil
-}
-
-// prob evaluates eng.Prob once per canonical assignment, consulting the
-// knowledge base's cross-request cache before touching the engine (a
-// cross-request hit does not count as an engine eval).
-func (b *Batch) prob(vs contingency.VarSet, values []int) (float64, error) {
-	key := b.canonKey(vs, values)
-	if p, ok := b.probs[string(key)]; ok { // no-copy lookup
-		return p, nil
-	}
-	p, hit, err := b.k.cachedProb(vs, values)
-	if err != nil {
-		return 0, err
-	}
-	if !hit {
-		b.evals++
-	}
-	b.probs[string(key)] = p
-	return p, nil
-}
-
-// clampVector returns the evidence's full-width fixed slice, built once.
-func (b *Batch) clampVector(ev *batchEvidence) []int {
-	if ev.fixed == nil {
-		ev.fixed = make([]int, b.k.schema.R())
-		for i := range ev.fixed {
-			ev.fixed[i] = -1
-		}
-		for i, p := range ev.vs.Members() {
-			ev.fixed[p] = ev.values[i]
-		}
-	}
-	return ev.fixed
-}
-
-// distNums returns the conditional-slice numerators of attribute pos under
-// the evidence — one batch sweep per (evidence, attribute) pair.
-func (b *Batch) distNums(ev *batchEvidence, pos int) ([]float64, error) {
-	key := append(b.keyBuf[:0], ev.key...)
-	key = append(key, '|')
-	key = strconv.AppendInt(key, int64(pos), 10)
-	b.keyBuf = key
-	if nums, ok := b.dists[string(key)]; ok { // no-copy lookup
-		return nums, nil
-	}
-	nums, hit, err := b.k.cachedMarginal(ev.vs, ev.values, pos, func() []int { return b.clampVector(ev) })
-	if err != nil {
-		return nil, err
-	}
-	if !hit {
-		b.evals++
-	}
-	b.dists[string(key)] = nums
-	return nums, nil
-}
-
-// Probability is KnowledgeBase.Probability with joint deduplication.
-func (b *Batch) Probability(assigns ...Assignment) (float64, error) {
-	if len(assigns) == 0 {
-		return 1, nil
-	}
-	vs, values, err := b.k.resolve(assigns)
-	if err != nil {
-		return 0, err
-	}
-	return b.prob(vs, values)
-}
-
-// Conditional is KnowledgeBase.Conditional with the denominator shared per
-// evidence set and — on dense engines — single-target numerators served
-// from the batch conditional-slice sweep.
-func (b *Batch) Conditional(target, given []Assignment) (float64, error) {
-	if len(target) == 0 {
-		return 1, nil
-	}
-	ev, err := b.evidenceFor(given)
-	if err != nil {
-		return 0, err
-	}
-	denom := 1.0
-	if len(given) > 0 {
-		if denom, err = b.prob(ev.vs, ev.values); err != nil {
-			return 0, err
-		}
-	}
-	if denom == 0 {
-		return 0, errZeroEvidence(given)
-	}
-	if len(target) == 1 && !b.k.eng.Factored() {
-		if a, pos, aerr := b.k.schema.AttrByName(target[0].Attr); aerr == nil && !ev.vs.Has(pos) {
-			vi := a.ValueIndex(target[0].Value)
-			if vi < 0 {
-				return 0, fmt.Errorf("kb: attribute %q has no value %q", target[0].Attr, target[0].Value)
-			}
-			nums, err := b.distNums(ev, pos)
-			if err != nil {
-				return 0, err
-			}
-			return nums[vi] / denom, nil
-		}
-		// Unknown attributes fall through so the joint path reports the
-		// same error the per-query method would; targets overlapping the
-		// evidence fall through to its duplicate/contradiction handling.
-	}
-	both := make([]Assignment, 0, len(target)+len(given))
-	both = append(both, target...)
-	both = append(both, given...)
-	num, err := b.Probability(both...)
-	if err != nil {
-		return 0, err
-	}
-	return num / denom, nil
-}
-
-// Distribution is KnowledgeBase.Distribution with the denominator and the
-// numerator sweep shared across the batch.
-func (b *Batch) Distribution(attr string, given ...Assignment) (map[string]float64, error) {
-	a, pos, err := b.k.schema.AttrByName(attr)
-	if err != nil {
-		return nil, fmt.Errorf("kb: %w", err)
-	}
-	for _, g := range given {
-		if g.Attr == attr {
-			return nil, fmt.Errorf("kb: cannot condition %q on itself", attr)
-		}
-	}
-	ev, err := b.evidenceFor(given)
-	if err != nil {
-		return nil, err
-	}
-	denom := 1.0
-	if len(given) > 0 {
-		if denom, err = b.prob(ev.vs, ev.values); err != nil {
-			return nil, err
-		}
-		if denom == 0 {
-			return nil, errZeroEvidence(given)
-		}
-	}
-	nums, err := b.distNums(ev, pos)
-	if err != nil {
-		return nil, err
-	}
-	return buildDistribution(a, nums, denom)
-}
-
-// MostLikely is KnowledgeBase.MostLikely over the batch's shared sweeps.
-func (b *Batch) MostLikely(attr string, given ...Assignment) (string, float64, error) {
-	a, _, err := b.k.schema.AttrByName(attr)
-	if err != nil {
-		return "", 0, fmt.Errorf("kb: %w", err)
-	}
-	dist, err := b.Distribution(attr, given...)
-	if err != nil {
-		return "", 0, err
-	}
-	best, bestP := mostLikelyFrom(a, dist)
-	return best, bestP, nil
-}
-
-// Lift is KnowledgeBase.Lift with the base rate and the conditional's
-// denominator both cached across the batch.
-func (b *Batch) Lift(target Assignment, given ...Assignment) (float64, error) {
-	base, err := b.Probability(target)
-	if err != nil {
-		return 0, err
-	}
-	if base == 0 {
-		return 0, fmt.Errorf("kb: target %v has zero base probability", target)
-	}
-	cond, err := b.Conditional([]Assignment{target}, given)
-	if err != nil {
-		return 0, err
-	}
-	return cond / base, nil
-}
-
-// MostProbableExplanation is KnowledgeBase.MostProbableExplanation with the
-// full completion cached per evidence set.
-func (b *Batch) MostProbableExplanation(given ...Assignment) (Explanation, error) {
-	ev, err := b.evidenceFor(given)
-	if err != nil {
-		return Explanation{}, err
-	}
-	if exp, ok := b.mpes[ev.key]; ok {
-		return copyExplanation(exp), nil
-	}
-	// Mirrors the per-query method: the evidence probability comes from the
-	// engine even when the evidence is empty (where it is the model total).
-	pEvidence, err := b.prob(ev.vs, ev.values)
-	if err != nil {
-		return Explanation{}, err
-	}
-	if pEvidence == 0 {
-		return Explanation{}, fmt.Errorf("kb: evidence %v has zero probability", given)
-	}
-	exp, hit, err := b.k.cachedMPE(ev.vs, ev.values, func() []int { return b.clampVector(ev) })
-	if err != nil {
-		return Explanation{}, err
-	}
-	if !hit {
-		b.evals++
-	}
-	b.mpes[ev.key] = exp
-	return copyExplanation(exp), nil
-}
-
-// copyExplanation guards the cached completion from caller mutation.
-func copyExplanation(e Explanation) Explanation {
-	return Explanation{
-		Assignments: append([]Assignment(nil), e.Assignments...),
-		Probability: e.Probability,
-	}
 }

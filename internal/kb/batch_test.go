@@ -19,7 +19,8 @@ func batchEvidenceSets() [][]Assignment {
 
 // TestBatchBitIdenticalToPerQuery drives every Batch method next to its
 // KnowledgeBase counterpart and requires exact (==) agreement, on both the
-// dense memo model and a wide factored model.
+// dense memo model and a wide factored model. On the dense model each
+// conditional must also equal the engine's pinned-sum ratio.
 func TestBatchBitIdenticalToPerQuery(t *testing.T) {
 	t.Run("dense", func(t *testing.T) {
 		k := memoKB(t)
@@ -50,6 +51,11 @@ func assertBatchMatches(t *testing.T, k *KnowledgeBase, targetAttr, targetVal st
 		gotC, gerrC := b.Conditional([]Assignment{target}, ev)
 		if (errC == nil) != (gerrC == nil) || gotC != wantC {
 			t.Errorf("Conditional(%v|%v): batch %x (%v), per-query %x (%v)", target, ev, gotC, gerrC, wantC, errC)
+		}
+		if !k.eng.Factored() {
+			if pinned := pinnedConditional(t, k, target, ev); gotC != pinned || wantC != pinned {
+				t.Errorf("Conditional(%v|%v): batch %x, per-query %x, pinned-sum ratio %x", target, ev, gotC, wantC, pinned)
+			}
 		}
 		wantD, errD := k.Distribution(targetAttr, ev...)
 		gotD, gerrD := b.Distribution(targetAttr, ev...)
@@ -92,9 +98,33 @@ func assertBatchMatches(t *testing.T, k *KnowledgeBase, targetAttr, targetVal st
 	}
 }
 
+// pinnedConditional prices P(target | given) straight from the engine as
+// eng.Prob(target ∪ given) / eng.Prob(given) — two pinned sums, the
+// reference the dense conditional-slice sweep must reproduce bit for bit.
+// Empty evidence is certain, as in Probability.
+func pinnedConditional(t *testing.T, k *KnowledgeBase, target Assignment, given []Assignment) float64 {
+	t.Helper()
+	pinned := func(assigns []Assignment) float64 {
+		if len(assigns) == 0 {
+			return 1
+		}
+		vs, values, err := k.resolve(assigns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := k.eng.Prob(vs, values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	return pinned(append([]Assignment{target}, given...)) / pinned(given)
+}
+
 // TestBatchGroupsEvidence: a same-evidence group of single-target
 // conditionals must cost one denominator and one conditional-slice sweep
-// per attribute — not two pinned sums per query like the per-query path.
+// per attribute — not two engine evaluations per query like the memo-less
+// per-query path.
 func TestBatchGroupsEvidence(t *testing.T) {
 	k := memoKB(t)
 	b := NewBatch(k)
@@ -110,7 +140,7 @@ func TestBatchGroupsEvidence(t *testing.T) {
 		}
 	}
 	// Per-query serving costs 2 engine evaluations per conditional (the
-	// denominator pin and the numerator pin); the batch pays 1 denominator
+	// denominator pin and the numerator sweep); the batch pays 1 denominator
 	// + 1 sweep for the whole group, across both evidence orderings.
 	sequential := 2 * queries
 	if got, want := b.Evals(), 2; got != want {

@@ -43,7 +43,7 @@ func (k *KnowledgeBase) WithCache(c *memo.Cache, version int64) *KnowledgeBase {
 func (k *KnowledgeBase) Cache() *memo.Cache { return k.cache }
 
 // appendAssignKey renders a resolved assignment canonically — the same
-// (VarSet key, ascending values) form Batch.canonKey uses, so one evidence
+// (VarSet key, ascending values) form a Batch's memo uses, so one evidence
 // set hits the same entry no matter which surface asked.
 func appendAssignKey(dst []byte, vs contingency.VarSet, values []int) []byte {
 	dst = vs.AppendKey(dst)
@@ -110,29 +110,29 @@ func (k *KnowledgeBase) cachedMarginal(vs contingency.VarSet, values []int, pos 
 // canonical evidence. Hits return a fresh copy so callers may keep or
 // mutate their Explanation freely; the cached value stays frozen.
 func (k *KnowledgeBase) cachedMPE(vs contingency.VarSet, values []int, fixed func() []int) (Explanation, bool, error) {
-	if k.cache == nil {
-		best, bestP, err := k.eng.MaxCell(fixed())
-		if err != nil {
-			return Explanation{}, false, err
+	var ks *cacheKeyBuf
+	if k.cache != nil {
+		ks = keyScratchPool.Get().(*cacheKeyBuf)
+		defer keyScratchPool.Put(ks)
+		key := appendAssignKey(append(ks.buf[:0], 'x', '|'), vs, values)
+		ks.buf = key
+		if v, ok := k.cache.Get(key, k.cacheVersion); ok {
+			return copyExplanation(v.(Explanation)), true, nil
 		}
-		return k.explanationFrom(best, bestP), false, nil
-	}
-	ks := keyScratchPool.Get().(*cacheKeyBuf)
-	key := append(ks.buf[:0], 'x', '|')
-	key = appendAssignKey(key, vs, values)
-	ks.buf = key
-	if v, ok := k.cache.Get(key, k.cacheVersion); ok {
-		keyScratchPool.Put(ks)
-		return copyExplanation(v.(Explanation)), true, nil
 	}
 	best, bestP, err := k.eng.MaxCell(fixed())
 	if err != nil {
-		keyScratchPool.Put(ks)
 		return Explanation{}, false, err
 	}
-	exp := k.explanationFrom(best, bestP)
-	k.cache.Put(key, k.cacheVersion, exp, explanationCost(exp))
-	keyScratchPool.Put(ks)
+	exp := Explanation{Assignments: make([]Assignment, len(best)), Probability: bestP}
+	for pos, v := range best {
+		a := k.schema.Attr(pos)
+		exp.Assignments[pos] = Assignment{Attr: a.Name, Value: a.Values[v]}
+	}
+	if k.cache == nil {
+		return exp, false, nil
+	}
+	k.cache.Put(ks.buf, k.cacheVersion, exp, explanationCost(exp))
 	return copyExplanation(exp), false, nil
 }
 

@@ -93,6 +93,13 @@ type Assignment struct {
 // String renders "CANCER=Yes".
 func (a Assignment) String() string { return a.Attr + "=" + a.Value }
 
+// Explanation is a full assignment of every attribute with its joint
+// probability — the output of MostProbableExplanation.
+type Explanation struct {
+	Assignments []Assignment
+	Probability float64
+}
+
 // resolve converts label assignments to (VarSet, ascending values), checking
 // for unknown names, unknown values, and contradictory duplicates. Positions
 // are bounded by the schema width, so a stack array stands in for a per-call
@@ -131,152 +138,52 @@ func (k *KnowledgeBase) resolve(assigns []Assignment) (contingency.VarSet, []int
 	return vs, values, nil
 }
 
+// The six query kinds below run on a session without a memo; session.go
+// holds their one implementation.
+
 // Probability returns the joint probability of the given assignments.
 // With no assignments it returns 1 (the empty event is certain).
 func (k *KnowledgeBase) Probability(assigns ...Assignment) (float64, error) {
-	if len(assigns) == 0 {
-		return 1, nil
-	}
-	vs, values, err := k.resolve(assigns)
-	if err != nil {
-		return 0, err
-	}
-	p, _, err := k.cachedProb(vs, values)
-	return p, err
-}
-
-// errZeroEvidence is the one rendering of the zero-probability-evidence
-// failure, shared by the per-query and batch paths.
-func errZeroEvidence(given []Assignment) error {
-	return fmt.Errorf("kb: conditioning on zero-probability evidence %v", given)
+	return session{k: k}.Probability(assigns...)
 }
 
 // Conditional returns P(target | given) = P(target, given) / P(given),
 // the memo's ratio of joint probabilities. It errors when the evidence has
 // zero probability or when target and evidence contradict each other.
 func (k *KnowledgeBase) Conditional(target []Assignment, given []Assignment) (float64, error) {
-	if len(target) == 0 {
-		return 1, nil
-	}
-	denom, err := k.Probability(given...)
-	if err != nil {
-		return 0, err
-	}
-	if denom == 0 {
-		return 0, errZeroEvidence(given)
-	}
-	both := make([]Assignment, 0, len(target)+len(given))
-	both = append(both, target...)
-	both = append(both, given...)
-	num, err := k.Probability(both...)
-	if err != nil {
-		return 0, err
-	}
-	return num / denom, nil
+	return session{k: k}.Conditional(target, given)
 }
 
 // Distribution returns the full conditional distribution of attr given the
 // evidence: one probability per value label, summing to 1. The numerators
 // of every value are computed in a single batch elimination sweep.
 func (k *KnowledgeBase) Distribution(attr string, given ...Assignment) (map[string]float64, error) {
-	a, pos, err := k.schema.AttrByName(attr)
-	if err != nil {
-		return nil, fmt.Errorf("kb: %w", err)
-	}
-	for _, g := range given {
-		if g.Attr == attr {
-			return nil, fmt.Errorf("kb: cannot condition %q on itself", attr)
-		}
-	}
-	gvs, gvals, err := k.resolve(given)
-	if err != nil {
-		return nil, err
-	}
-	denom := 1.0
-	if len(given) > 0 {
-		denom, _, err = k.cachedProb(gvs, gvals)
-		if err != nil {
-			return nil, err
-		}
-		if denom == 0 {
-			return nil, errZeroEvidence(given)
-		}
-	}
-	nums, _, err := k.cachedMarginal(gvs, gvals, pos, func() []int {
-		fixed := make([]int, k.schema.R())
-		for i := range fixed {
-			fixed[i] = -1
-		}
-		for i, p := range gvs.Members() {
-			fixed[p] = gvals[i]
-		}
-		return fixed
-	})
-	if err != nil {
-		return nil, err
-	}
-	return buildDistribution(a, nums, denom)
-}
-
-// buildDistribution assembles a conditional distribution from slice
-// numerators and the evidence denominator, guarding that an exhaustive
-// range sums to 1 — the one body behind the per-query and batch paths.
-func buildDistribution(a dataset.Attribute, nums []float64, denom float64) (map[string]float64, error) {
-	out := make(map[string]float64, a.Card())
-	total := 0.0
-	for i, v := range a.Values {
-		p := nums[i] / denom
-		out[v] = p
-		total += p
-	}
-	if total < 0.999999 || total > 1.000001 {
-		return nil, fmt.Errorf("kb: conditional distribution of %q sums to %g", a.Name, total)
-	}
-	return out, nil
-}
-
-// mostLikelyFrom picks the distribution's argmax in value-label order
-// (ties break toward the earlier label).
-func mostLikelyFrom(a dataset.Attribute, dist map[string]float64) (string, float64) {
-	best, bestP := "", -1.0
-	for _, v := range a.Values {
-		if dist[v] > bestP {
-			best, bestP = v, dist[v]
-		}
-	}
-	return best, bestP
+	return session{k: k}.Distribution(attr, given...)
 }
 
 // MostLikely returns the most probable value of attr given the evidence and
 // its probability; ties break toward the earlier value label.
 func (k *KnowledgeBase) MostLikely(attr string, given ...Assignment) (string, float64, error) {
-	a, _, err := k.schema.AttrByName(attr)
-	if err != nil {
-		return "", 0, fmt.Errorf("kb: %w", err)
-	}
-	dist, err := k.Distribution(attr, given...)
-	if err != nil {
-		return "", 0, err
-	}
-	best, bestP := mostLikelyFrom(a, dist)
-	return best, bestP, nil
+	return session{k: k}.MostLikely(attr, given...)
 }
 
 // Lift returns P(target | given) / P(target): how much the evidence moves
 // the target relative to its base rate. Lift > 1 means positive association.
 func (k *KnowledgeBase) Lift(target Assignment, given ...Assignment) (float64, error) {
-	base, err := k.Probability(target)
-	if err != nil {
-		return 0, err
-	}
-	if base == 0 {
-		return 0, fmt.Errorf("kb: target %v has zero base probability", target)
-	}
-	cond, err := k.Conditional([]Assignment{target}, given)
-	if err != nil {
-		return 0, err
-	}
-	return cond / base, nil
+	return session{k: k}.Lift(target, given...)
+}
+
+// MostProbableExplanation returns the highest-probability completion of the
+// evidence over all remaining attributes (MPE / MAP inference): the single
+// world state the knowledge base considers most likely given what is known.
+//
+// Dense models enumerate the free attributes' joint space; wide factored
+// models take the exact argmax independently per constraint block, so MPE
+// stays affordable on schemas whose joint space cannot be enumerated. Ties
+// break toward lower value indices for determinism. Evidence with zero
+// probability is an error, mirroring Conditional.
+func (k *KnowledgeBase) MostProbableExplanation(given ...Assignment) (Explanation, error) {
+	return session{k: k}.MostProbableExplanation(given...)
 }
 
 // Explain renders the stored formula constraint by constraint in the memo's

@@ -5,7 +5,15 @@ import (
 	"testing"
 
 	"pka/internal/contingency"
+	"pka/internal/sumprod"
 )
+
+// evaluator builds the per-use Appendix B evaluator over the current
+// coefficients — the per-cell reference implementation the compiled
+// engine is equivalence-tested against.
+func (m *Model) evaluator() (*sumprod.Evaluator, error) {
+	return sumprod.NewEvaluator(m.cards, m.terms())
+}
 
 // fittedMemoModel builds and fits the memo's first-order model plus the
 // significant N^AC_12 constraint — a realistic fitted coefficient state.

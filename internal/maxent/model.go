@@ -302,13 +302,6 @@ func (m *Model) terms() []sumprod.Term {
 	return out
 }
 
-// evaluator builds the per-use Appendix B evaluator over the current
-// coefficients — the original per-cell path, retained as the reference
-// implementation the compiled engine is equivalence-tested against.
-func (m *Model) evaluator() (*sumprod.Evaluator, error) {
-	return sumprod.NewEvaluator(m.cards, m.terms())
-}
-
 // CellProb returns the normalized probability of one full cell: Eq. 12
 // evaluated directly as a0 times the product of family coefficients.
 func (m *Model) CellProb(cell []int) (float64, error) {

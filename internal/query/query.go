@@ -175,6 +175,18 @@ func EncodeResult(w io.Writer, res Result) error {
 	return json.NewEncoder(w).Encode(res)
 }
 
+// answerer is the method set Answer dispatches over: the six
+// probabilistic query kinds. Every Querier satisfies it, and so does a
+// *kb.Batch session, which is how AnswerBatch shares engine work.
+type answerer interface {
+	Probability(assigns ...kb.Assignment) (float64, error)
+	Conditional(target, given []kb.Assignment) (float64, error)
+	Distribution(attr string, given ...kb.Assignment) (map[string]float64, error)
+	MostLikely(attr string, given ...kb.Assignment) (string, float64, error)
+	Lift(target kb.Assignment, given ...kb.Assignment) (float64, error)
+	MostProbableExplanation(given ...kb.Assignment) (kb.Explanation, error)
+}
+
 // Answer executes one query against the model. The error return carries
 // validation and model failures; Result.Error stays empty on this path
 // (it is filled by AnswerBatch, which must report per-query failures).
@@ -182,6 +194,11 @@ func Answer(q Querier, qu Query) (Result, error) {
 	if q == nil {
 		return Result{}, fmt.Errorf("query: nil querier")
 	}
+	return answer(q, qu)
+}
+
+// answer validates one query and routes it to the matching method of q.
+func answer(q answerer, qu Query) (Result, error) {
 	if err := qu.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -235,38 +252,6 @@ type kbProvider interface {
 	KnowledgeBase() *kb.KnowledgeBase
 }
 
-// batchQuerier overlays a kb.Batch session on a Querier: the six
-// probabilistic methods go through the session's shared caches, everything
-// else delegates.
-type batchQuerier struct {
-	Querier
-	b *kb.Batch
-}
-
-func (s batchQuerier) Probability(assigns ...kb.Assignment) (float64, error) {
-	return s.b.Probability(assigns...)
-}
-
-func (s batchQuerier) Conditional(target, given []kb.Assignment) (float64, error) {
-	return s.b.Conditional(target, given)
-}
-
-func (s batchQuerier) Distribution(attr string, given ...kb.Assignment) (map[string]float64, error) {
-	return s.b.Distribution(attr, given...)
-}
-
-func (s batchQuerier) MostLikely(attr string, given ...kb.Assignment) (string, float64, error) {
-	return s.b.MostLikely(attr, given...)
-}
-
-func (s batchQuerier) Lift(target kb.Assignment, given ...kb.Assignment) (float64, error) {
-	return s.b.Lift(target, given...)
-}
-
-func (s batchQuerier) MostProbableExplanation(given ...kb.Assignment) (kb.Explanation, error) {
-	return s.b.MostProbableExplanation(given...)
-}
-
 // AnswerBatch executes a group of queries against the model, sharing the
 // engine work queries have in common instead of issuing len(queries)
 // independent calls. Every probability returned is bit-identical to the
@@ -303,9 +288,9 @@ func AnswerBatchWorkers(q Querier, queries []Query, workers int) ([]Result, erro
 		kbase = p.KnowledgeBase()
 	}
 	out := make([]Result, len(queries))
-	answerRange := func(exec Querier, idx []int) {
+	answerRange := func(exec answerer, idx []int) {
 		for _, i := range idx {
-			res, err := Answer(exec, queries[i])
+			res, err := answer(exec, queries[i])
 			if err != nil {
 				out[i] = Result{Kind: queries[i].Kind, Error: err.Error()}
 				continue
@@ -324,7 +309,7 @@ func AnswerBatchWorkers(q Querier, queries []Query, workers int) ([]Result, erro
 		return out, nil
 	}
 	if par.Workers(workers, len(queries)) == 1 {
-		answerRange(batchQuerier{Querier: q, b: kb.NewBatch(kbase)}, all)
+		answerRange(kb.NewBatch(kbase), all)
 		return out, nil
 	}
 	// Group query indices by evidence set (first-appearance order): each
@@ -344,7 +329,7 @@ func AnswerBatchWorkers(q Querier, queries []Query, workers int) ([]Result, erro
 		groups[g] = append(groups[g], i)
 	}
 	_ = par.Do(len(groups), workers, func(g int) error {
-		answerRange(batchQuerier{Querier: q, b: kb.NewBatch(kbase)}, groups[g])
+		answerRange(kb.NewBatch(kbase), groups[g])
 		return nil // per-query failures land in their Result slot
 	})
 	return out, nil

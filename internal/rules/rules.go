@@ -70,11 +70,14 @@ func (o Options) validate() error {
 // order >= 2: for a constraint over attributes {X, Y, Z}, each attribute in
 // turn becomes the consequent with the remaining assignments as antecedent.
 // Rules are ranked by |lift - 1| descending (strongest associations first),
-// then by support descending for determinism.
+// then by support descending for determinism. The whole extraction runs on
+// one kb.Batch session, so each antecedent, joint and base rate is priced
+// once however many rules name it.
 func FromKnowledgeBase(k *kb.KnowledgeBase, opts Options) ([]Rule, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	b := kb.NewBatch(k)
 	schema := k.Schema()
 	seen := make(map[string]bool)
 	var out []Rule
@@ -89,7 +92,7 @@ func FromKnowledgeBase(k *kb.KnowledgeBase, opts Options) ([]Rule, error) {
 			assigns[i] = kb.Assignment{Attr: attr.Name, Value: attr.Values[c.Values[i]]}
 		}
 		for ti := range assigns {
-			rule, ok, err := buildRule(k, assigns, ti)
+			rule, ok, err := buildRule(b, assigns, ti)
 			if err != nil {
 				return nil, err
 			}
@@ -129,8 +132,10 @@ func FromKnowledgeBase(k *kb.KnowledgeBase, opts Options) ([]Rule, error) {
 }
 
 // buildRule makes the rule with assigns[ti] as consequent. ok is false when
-// the antecedent has zero probability (no rule can condition on it).
-func buildRule(k *kb.KnowledgeBase, assigns []kb.Assignment, ti int) (Rule, bool, error) {
+// the antecedent has zero probability (no rule can condition on it). The
+// session's memo serves the antecedent again as Conditional's denominator
+// and, on factored engines, the support as its numerator.
+func buildRule(b *kb.Batch, assigns []kb.Assignment, ti int) (Rule, bool, error) {
 	then := assigns[ti]
 	ifs := make([]kb.Assignment, 0, len(assigns)-1)
 	for i, a := range assigns {
@@ -139,23 +144,23 @@ func buildRule(k *kb.KnowledgeBase, assigns []kb.Assignment, ti int) (Rule, bool
 		}
 	}
 	sort.Slice(ifs, func(i, j int) bool { return ifs[i].Attr < ifs[j].Attr })
-	pIf, err := k.Probability(ifs...)
+	pIf, err := b.Probability(ifs...)
 	if err != nil {
 		return Rule{}, false, err
 	}
 	if pIf == 0 {
 		return Rule{}, false, nil
 	}
-	cond, err := k.Conditional([]kb.Assignment{then}, ifs)
+	cond, err := b.Conditional([]kb.Assignment{then}, ifs)
 	if err != nil {
 		return Rule{}, false, err
 	}
 	all := append(append([]kb.Assignment{}, ifs...), then)
-	support, err := k.Probability(all...)
+	support, err := b.Probability(all...)
 	if err != nil {
 		return Rule{}, false, err
 	}
-	base, err := k.Probability(then)
+	base, err := b.Probability(then)
 	if err != nil {
 		return Rule{}, false, err
 	}

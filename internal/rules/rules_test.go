@@ -117,6 +117,29 @@ func TestRulesProbabilitiesValid(t *testing.T) {
 				t.Errorf("rule %s: consequent attribute in antecedent", r)
 			}
 		}
+		// The shared session must price every statistic exactly as the
+		// ratio of per-query joints would.
+		pIf, err := k.Probability(r.If...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		support, err := k.Probability(append(append([]kb.Assignment{}, r.If...), r.Then)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := k.Probability(r.Then)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := support / pIf; r.Probability != want {
+			t.Errorf("rule %s: probability %x, want P(then, if)/P(if) = %x", r, r.Probability, want)
+		}
+		if r.Support != support {
+			t.Errorf("rule %s: support %x, want P(then, if) = %x", r, r.Support, support)
+		}
+		if want := support / pIf / base; r.Lift != want {
+			t.Errorf("rule %s: lift %x, want P(then | if)/P(then) = %x", r, r.Lift, want)
+		}
 	}
 }
 
