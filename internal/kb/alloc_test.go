@@ -34,7 +34,7 @@ func TestSingleQueryAllocCeilings(t *testing.T) {
 			ceilings{3, 7, 9, 12, 10}, ceilings{2, 5, 4, 3, 7}},
 		{"factored", func(t *testing.T) *KnowledgeBase { return wideKB(t, 24) },
 			"CH05", "hi", Assignment{Attr: "CH02", Value: "hi"},
-			ceilings{5, 11, 18, 106, 16}, ceilings{2, 5, 4, 3, 7}},
+			ceilings{3, 7, 8, 75, 10}, ceilings{2, 5, 4, 3, 7}},
 	}
 	for _, tc := range cases {
 		base := tc.k(t)

@@ -11,7 +11,7 @@ import (
 // with an intra-batch memo: queries are grouped by their resolved evidence
 // set, so each distinct set is validated and resolved once, its
 // probability (the shared conditional denominator) is evaluated once, and
-// — on dense engines — every single-target conditional over the same
+// — on single-block engines — every single-target conditional over the same
 // (evidence, attribute) pair is served from one conditional-slice sweep.
 // Joint probabilities, distributions, and MPE completions are likewise
 // deduplicated by canonical key.

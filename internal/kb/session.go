@@ -128,11 +128,11 @@ func (s session) Probability(assigns ...Assignment) (float64, error) {
 }
 
 // Conditional is the ratio of joints P(target, given) / P(given). On a
-// dense engine a single-target numerator is read off the conditional-slice
-// sweep, which is bit-identical to the pinned sum per cell (see
-// sumprod.Compiled) and shared by every value of the attribute. Factored
-// engines combine their blocks in a different order in the sweep, so they
-// always pin the joint.
+// single-block engine a single-target numerator is read off the
+// conditional-slice sweep, which is bit-identical to the pinned sum per
+// cell (see sumprod.Compiled) and shared by every value of the attribute.
+// Factored (multi-block) engines combine their blocks in a different order
+// in the sweep, so they always pin the joint.
 func (s session) Conditional(target, given []Assignment) (float64, error) {
 	if len(target) == 0 {
 		return 1, nil

@@ -100,10 +100,10 @@ func TestFactoredFitMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cf.eng != nil || len(cf.blocks) == 0 {
+	if !cf.Factored() {
 		t.Fatal("model did not compile in factored mode")
 	}
-	if cd.eng == nil {
+	if cd.Factored() {
 		t.Fatal("reference model not in dense mode")
 	}
 
@@ -284,6 +284,36 @@ func TestFactoredBlockTooDense(t *testing.T) {
 	}
 	if c.Factored() {
 		t.Error("over-dense block compiled factored")
+	}
+	// The fallback snapshot restores as the same single block: the
+	// per-block size limit must not apply to the whole-model block.
+	st, err := dense.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreModel(st)
+	if err != nil {
+		t.Fatalf("restoring the fallback snapshot: %v", err)
+	}
+	rc, err := restored.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.Factored() {
+		t.Error("restored fallback snapshot is factored")
+	}
+	want, err := dense.Joint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Joint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("restored joint cell %d = %x, want %x", i, got[i], want[i])
+		}
 	}
 
 	// Beyond the ceiling the factored solver reports instead of attempting.

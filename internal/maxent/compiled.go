@@ -3,34 +3,34 @@ package maxent
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"pka/internal/contingency"
 	"pka/internal/sumprod"
 )
 
-// Compiled is an immutable snapshot of a model bound to a compiled
-// sum-product engine: the separation of the mutable fitting model from the
+// Compiled is an immutable snapshot of a model bound to compiled
+// sum-product engines: the separation of the mutable fitting model from the
 // query engine. It is safe for concurrent use by any number of goroutines —
 // coefficients are deep-copied at Compile time and scratch state is pooled —
 // and every probability it returns is bit-identical to the equivalent
 // Model method evaluated on the snapshot's coefficients.
 //
-// Snapshots come in two modes. Joint spaces up to denseModelCells compile
-// one global engine (eng), exactly as before. Wider models compile in
-// factored mode: one engine per constraint block (see blocks.go), with
-// probabilities combined as products of per-block sums — no dense joint
-// structure is ever allocated.
+// The product form factorizes exactly over the connected components of the
+// constraint graph, so a snapshot is a list of blocks: one engine per
+// block (see blocks.go), with probabilities combined as products of
+// per-block sums. A joint space up to denseModelCells — or, in the
+// too-dense fallback, up to maxDenseCells — compiles to a single block
+// over every attribute; a wider model compiles one block per component,
+// and no dense joint structure is ever allocated.
 type Compiled struct {
 	names  []string
 	cards  []int
 	a0     float64
-	eng    *sumprod.Compiled // dense mode; nil in factored mode
-	blocks []*compiledBlock  // factored mode; nil in dense mode
-	// blockScratch pools a cell buffer sized to the widest block for the
-	// factored per-cell paths (CellProb is called once per occupied cell
-	// by goodness-of-fit and log-loss scoring).
-	blockScratch sync.Pool
+	blocks []*compiledBlock
+	// scratch pools the per-query index buffers (*queryScratch).
+	scratch sync.Pool
 }
 
 // compiledBlock is one constraint block's sub-engine. eng is an interface
@@ -46,6 +46,44 @@ type compiledBlock struct {
 	sum   float64 // cached unnormalized block sum Σ Π coeffs
 }
 
+// queryScratch holds one query's index buffers, so a query allocates
+// little beyond its result. cell spans the widest block; the other
+// buffers grow to the widest query seen and are kept.
+type queryScratch struct {
+	cell   []int // block-local cell or clamps
+	lv     []int // block-local positions of the members a block holds
+	lvals  []int // pinned values, parallel to lv
+	idx    []int // marginal: member indices of every part, back to back
+	values []int // marginal: odometer over the members
+	parts  []marginalPart
+}
+
+// marginalPart is one block's share of a batch marginal.
+type marginalPart struct {
+	midx []int // indices into the members served by this block
+	arr  []float64
+}
+
+// newCompiled assembles a snapshot over its blocks and sizes the scratch
+// pool to the widest block — the one set-up shared by Compile,
+// RestoreModel and NewDistributed.
+func newCompiled(names []string, cards []int, a0 float64, blocks []*compiledBlock) *Compiled {
+	c := &Compiled{
+		names:  append([]string(nil), names...),
+		cards:  append([]int(nil), cards...),
+		a0:     a0,
+		blocks: blocks,
+	}
+	maxW := 0
+	for _, b := range blocks {
+		maxW = max(maxW, len(b.vars))
+	}
+	c.scratch.New = func() any {
+		return &queryScratch{cell: make([]int, maxW)}
+	}
+	return c
+}
+
 // Compile returns the model's compiled inference engine, building it from
 // the current coefficients if no snapshot is cached. The cache is
 // invalidated by AddConstraint and refreshed by every successful Fit, so a
@@ -59,65 +97,86 @@ func (m *Model) Compile() (*Compiled, error) {
 	if c := m.compiled.Load(); c != nil {
 		return c, nil
 	}
-	c := &Compiled{
-		names: append([]string(nil), m.names...),
-		cards: append([]int(nil), m.cards...),
-		a0:    m.a0,
+	parts, err := m.compilePartition()
+	if err != nil {
+		return nil, err
 	}
-	cells := m.NumCells()
-	blocks, blockErr := []*compiledBlock(nil), error(nil)
-	if cells > denseModelCells {
-		blocks, blockErr = m.compileBlocks()
-		if blockErr != nil && !(errors.Is(blockErr, errBlockTooDense) && cells <= maxDenseCells) {
-			return nil, blockErr
-		}
-		// A too-dense block under the absolute ceiling falls through to
-		// the dense engine, mirroring Fit's fallback.
-	}
-	if blocks != nil {
-		c.blocks = blocks
-		maxW := 0
-		for _, b := range blocks {
-			if len(b.vars) > maxW {
-				maxW = len(b.vars)
-			}
-		}
-		c.blockScratch.New = func() any {
-			s := make([]int, maxW)
-			return &s
-		}
-	} else {
-		eng, err := sumprod.Compile(m.cards, m.terms())
-		if err != nil {
-			return nil, err
-		}
-		c.eng = eng
+	c, err := m.buildCompiled(parts, nil)
+	if err != nil {
+		return nil, err
 	}
 	m.compiled.Store(c)
 	return c, nil
 }
 
-// Factored reports whether the snapshot runs in factored (block-decomposed)
-// mode — i.e. its joint space is too wide to materialize, so consumers must
-// score over occupied cells instead of a dense joint walk.
-func (c *Compiled) Factored() bool { return c.eng == nil }
+// Factored reports whether the snapshot has more than one block — i.e. its
+// joint space is too wide to evaluate as a whole, so consumers must score
+// over occupied cells instead of a dense joint walk.
+func (c *Compiled) Factored() bool { return len(c.blocks) > 1 }
 
-// compileBlocks builds one sub-engine per constraint block of the model.
-func (m *Model) compileBlocks() ([]*compiledBlock, error) {
-	var out []*compiledBlock
+// compilePartition returns the attribute blocks a snapshot compiles: the
+// constraint graph's components once the joint space exceeds
+// denseModelCells, and one block over every attribute otherwise. A
+// component too densely coupled for a block of its own sends a model under
+// maxDenseCells back to the single block, mirroring Fit's fallback.
+func (m *Model) compilePartition() ([][]int, error) {
+	cells := m.NumCells()
+	if cells > denseModelCells {
+		blocks := m.blocks()
+		var err error
+		for _, blk := range blocks {
+			if _, err = m.blockDenseSize(blk); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			return blocks, nil
+		}
+		if !errors.Is(err, errBlockTooDense) || cells > maxDenseCells {
+			return nil, err
+		}
+	}
+	return m.wholeBlock(), nil
+}
+
+// wholeBlock is the single-block partition: every attribute position.
+func (m *Model) wholeBlock() [][]int {
+	all := make([]int, len(m.cards))
+	for i := range all {
+		all[i] = i
+	}
+	return [][]int{all}
+}
+
+// buildCompiled compiles one sub-engine per block of the partition from
+// the current coefficients. sums, when non-nil, are a restored snapshot's
+// stored block sums; otherwise each block's engine computes its own.
+func (m *Model) buildCompiled(parts [][]int, sums []float64) (*Compiled, error) {
 	fams := m.sortedFamilyTerms()
 	var ar blockArena
-	for _, blk := range m.blocks() {
+	if len(parts) == 1 {
+		// A block over every attribute carves 3R ints plus one local
+		// position per family member: size the arena to exactly that.
+		n := 3 * len(m.cards)
+		for _, ft := range fams {
+			n += len(ft.vars)
+		}
+		ar.free = make([]int, n)
+	}
+	blocks := make([]*compiledBlock, len(parts))
+	for i, blk := range parts {
 		b, err := m.buildBlock(blk, fams, &ar)
 		if err != nil {
 			return nil, err
 		}
-		if b.sum, err = b.eng.Sum(); err != nil {
+		if sums != nil {
+			b.sum = sums[i]
+		} else if b.sum, err = b.eng.Sum(); err != nil {
 			return nil, err
 		}
-		out = append(out, b)
+		blocks[i] = b
 	}
-	return out, nil
+	return newCompiled(m.names, m.cards, m.a0, blocks), nil
 }
 
 // blockArena carves the per-block int buffers of one compilation out of
@@ -157,16 +216,13 @@ func (m *Model) sortedFamilyTerms() []*familyTerm {
 	return out
 }
 
-// buildBlock compiles one constraint block's sub-engine from the current
-// coefficients, leaving the cached block sum unset: compileBlocks
-// accumulates it fresh, the snapshot restore path injects the stored value
-// so the restored engine reproduces the saved one bit for bit. fams is the
-// caller's sortedFamilyTerms() — hoisted out because it is shared by every
-// block of one compilation.
+// buildBlock compiles one block's sub-engine from the current
+// coefficients, leaving the cached block sum unset: buildCompiled computes
+// it fresh or injects a snapshot's stored value, so the restored engine
+// reproduces the saved one bit for bit. fams is the caller's
+// sortedFamilyTerms() — hoisted out because it is shared by every block of
+// one compilation.
 func (m *Model) buildBlock(blk []int, fams []*familyTerm, ar *blockArena) (*compiledBlock, error) {
-	if _, err := m.blockDenseSize(blk); err != nil {
-		return nil, err
-	}
 	// One arena carve serves vars, cards, and local.
 	buf := ar.take(2*len(blk) + len(m.cards))
 	b := &compiledBlock{
@@ -244,39 +300,74 @@ func (c *Compiled) checkCell(vars contingency.VarSet, values []int) ([]int, erro
 }
 
 // Prob returns the normalized probability that the attributes of vars take
-// values — one pooled-scratch elimination sweep, no per-call engine build.
-// In factored mode the sweep runs per block touched by the pins; untouched
-// blocks contribute their cached sums.
+// values — one pooled-scratch elimination sweep per block touched by the
+// pins, no per-call engine build; untouched blocks contribute their cached
+// sums.
 func (c *Compiled) Prob(vars contingency.VarSet, values []int) (float64, error) {
 	members, err := c.checkCell(vars, values)
 	if err != nil {
 		return 0, err
 	}
-	if c.eng != nil {
-		return c.a0 * c.eng.SumPinned(members, values), nil
-	}
+	sc := c.scratch.Get().(*queryScratch)
+	defer c.scratch.Put(sc)
 	res := c.a0
-	lv := make([]int, 0, len(members))
-	lvals := make([]int, 0, len(members))
 	for _, b := range c.blocks {
-		lv, lvals = lv[:0], lvals[:0]
-		for i, p := range members {
-			if li := b.local[p]; li >= 0 {
-				lv = append(lv, li)
-				lvals = append(lvals, values[i])
-			}
-		}
-		if len(lv) == 0 {
+		sc.pin(b, members, values)
+		if len(sc.lv) == 0 {
 			res *= b.sum
-		} else {
-			s, err := b.eng.SumPinned(lv, lvals)
-			if err != nil {
-				return 0, err
-			}
-			res *= s
+			continue
 		}
+		s, err := b.eng.SumPinned(sc.lv, sc.lvals)
+		if err != nil {
+			return 0, err
+		}
+		res *= s
 	}
 	return res, nil
+}
+
+// pin gathers the members b holds into lv (block-local) and their values
+// into lvals.
+func (sc *queryScratch) pin(b *compiledBlock, members, values []int) {
+	sc.lv, sc.lvals = sc.lv[:0], sc.lvals[:0]
+	for i, p := range members {
+		if li := b.local[p]; li >= 0 {
+			sc.lv = append(sc.lv, li)
+			sc.lvals = append(sc.lvals, values[i])
+		}
+	}
+}
+
+// clamp maps the global clamps fixed (fixed[p] >= 0 pins attribute p) onto
+// b's local positions in sc.cell, or returns nil when fixed pins nothing
+// in b.
+func (sc *queryScratch) clamp(b *compiledBlock, fixed []int) []int {
+	local := sc.cell[:len(b.vars)]
+	pinned := false
+	for li, p := range b.vars {
+		local[li] = -1
+		if p < len(fixed) && fixed[p] >= 0 {
+			local[li] = fixed[p]
+			pinned = true
+		}
+	}
+	if !pinned {
+		return nil
+	}
+	return local
+}
+
+// familyMembers validates a batch-marginal family against the attribute
+// space.
+func (c *Compiled) familyMembers(vars contingency.VarSet) ([]int, error) {
+	members := vars.Members()
+	if len(members) == 0 {
+		return nil, fmt.Errorf("maxent: empty attribute set for marginal")
+	}
+	if members[len(members)-1] >= len(c.cards) {
+		return nil, fmt.Errorf("maxent: attribute set %v exceeds %d attributes", vars, len(c.cards))
+	}
+	return members, nil
 }
 
 // Marginal returns the model's full marginal distribution over the family:
@@ -284,24 +375,11 @@ func (c *Compiled) Prob(vars contingency.VarSet, values []int) (float64, error) 
 // (first member slowest), computed in a single batch elimination sweep.
 // Each entry is bit-identical to the Prob call for that cell.
 func (c *Compiled) Marginal(vars contingency.VarSet) ([]float64, error) {
-	members := vars.Members()
-	if len(members) == 0 {
-		return nil, fmt.Errorf("maxent: empty attribute set for marginal")
-	}
-	if members[len(members)-1] >= len(c.cards) {
-		return nil, fmt.Errorf("maxent: attribute set %v exceeds %d attributes", vars, len(c.cards))
-	}
-	if c.eng == nil {
-		return c.factoredMarginal(members, nil)
-	}
-	out, err := c.eng.Marginal(members)
+	members, err := c.familyMembers(vars)
 	if err != nil {
 		return nil, err
 	}
-	for i := range out {
-		out[i] = c.a0 * out[i]
-	}
-	return out, nil
+	return c.marginal(members, nil)
 }
 
 // MarginalGiven returns the joint probability of every cell of vars together
@@ -309,74 +387,51 @@ func (c *Compiled) Marginal(vars contingency.VarSet) ([]float64, error) {
 // be a member of vars), -1 leaves it summed over. One batch sweep computes
 // the whole conditional slice's numerators.
 func (c *Compiled) MarginalGiven(vars contingency.VarSet, fixed []int) ([]float64, error) {
-	members := vars.Members()
-	if len(members) == 0 {
-		return nil, fmt.Errorf("maxent: empty attribute set for marginal")
-	}
-	if members[len(members)-1] >= len(c.cards) {
-		return nil, fmt.Errorf("maxent: attribute set %v exceeds %d attributes", vars, len(c.cards))
+	members, err := c.familyMembers(vars)
+	if err != nil {
+		return nil, err
 	}
 	for v := 0; v < len(fixed) && v < len(c.cards); v++ {
 		if fixed[v] >= c.cards[v] {
 			return nil, fmt.Errorf("maxent: value %d out of range for attribute %d", fixed[v], v)
 		}
 	}
-	if c.eng == nil {
-		return c.factoredMarginal(members, fixed)
-	}
-	out, err := c.eng.MarginalFixed(members, fixed)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		out[i] = c.a0 * out[i]
-	}
-	return out, nil
+	return c.marginal(members, fixed)
 }
 
-// factoredMarginal assembles a (possibly clamped) batch marginal in
-// factored mode: each block touched by the family computes its own dense
-// sub-marginal in one sweep, blocks touched only by clamps contribute a
-// pinned scalar sum, untouched blocks their cached sums, and the family's
-// row-major result is the outer product of the parts.
-func (c *Compiled) factoredMarginal(members []int, fixed []int) ([]float64, error) {
+// marginal assembles a (possibly clamped) batch marginal: each block
+// touched by the family computes its own dense sub-marginal in one sweep,
+// blocks touched only by clamps contribute a pinned scalar sum, untouched
+// blocks their cached sums, and the family's row-major result is the
+// outer product of the parts.
+func (c *Compiled) marginal(members []int, fixed []int) ([]float64, error) {
+	sc := c.scratch.Get().(*queryScratch)
+	defer c.scratch.Put(sc)
+	lv, idx, parts := sc.lv, sc.idx[:0], sc.parts[:0]
+	defer func() {
+		clear(parts) // keep no result array alive in the pool
+		sc.lv, sc.idx, sc.parts = lv, idx, parts[:0]
+	}()
 	scalar := c.a0
-	type part struct {
-		midx []int // indices into members served by this block
-		dims []int // cardinalities of those members
-		arr  []float64
-	}
-	var parts []part
 	for _, b := range c.blocks {
-		var lm, midx, dims []int
+		lv = lv[:0]
+		start := len(idx) // earlier parts keep their windows if idx regrows
 		for i, p := range members {
 			if li := b.local[p]; li >= 0 {
-				lm = append(lm, li)
-				midx = append(midx, i)
-				dims = append(dims, c.cards[p])
+				lv = append(lv, li)
+				idx = append(idx, i)
 			}
 		}
-		var localFixed []int
-		for li, p := range b.vars {
-			if p < len(fixed) && fixed[p] >= 0 {
-				if localFixed == nil {
-					localFixed = make([]int, len(b.vars))
-					for j := range localFixed {
-						localFixed[j] = -1
-					}
-				}
-				localFixed[li] = fixed[p]
-			}
-		}
+		clamps := sc.clamp(b, fixed)
 		switch {
-		case len(lm) > 0:
-			arr, err := b.eng.MarginalFixed(lm, localFixed)
+		case len(lv) > 0:
+			arr, err := b.eng.MarginalFixed(lv, clamps)
 			if err != nil {
 				return nil, err
 			}
-			parts = append(parts, part{midx: midx, dims: dims, arr: arr})
-		case localFixed != nil:
-			s, err := b.eng.SumFixed(localFixed)
+			parts = append(parts, marginalPart{midx: idx[start:len(idx):len(idx)], arr: arr})
+		case clamps != nil:
+			s, err := b.eng.SumFixed(clamps)
 			if err != nil {
 				return nil, err
 			}
@@ -385,18 +440,28 @@ func (c *Compiled) factoredMarginal(members []int, fixed []int) ([]float64, erro
 			scalar *= b.sum
 		}
 	}
+	if len(parts) == 1 && len(parts[0].midx) == len(members) {
+		// The family lies inside one block, whose marginal is already
+		// row-major over the members: scale it in place.
+		out := parts[0].arr
+		for i := range out {
+			out[i] = scalar * out[i]
+		}
+		return out, nil
+	}
 	size := 1
 	for _, p := range members {
 		size *= c.cards[p]
 	}
 	out := make([]float64, size)
-	values := make([]int, len(members))
+	values := slices.Grow(sc.values[:0], len(members))[:len(members)]
+	clear(values)
 	for i := 0; i < size; i++ {
 		v := scalar
 		for _, pt := range parts {
 			off := 0
-			for k, mi := range pt.midx {
-				off = off*pt.dims[k] + values[mi]
+			for _, mi := range pt.midx {
+				off = off*c.cards[members[mi]] + values[mi]
 			}
 			v *= pt.arr[off]
 		}
@@ -409,6 +474,7 @@ func (c *Compiled) factoredMarginal(members []int, fixed []int) ([]float64, erro
 			values[j] = 0
 		}
 	}
+	sc.values = values
 	return out, nil
 }
 
@@ -425,43 +491,39 @@ func (c *Compiled) CellProb(cell []int) (float64, error) {
 			return 0, fmt.Errorf("maxent: coordinate %d = %d out of range", i, v)
 		}
 	}
-	if c.eng != nil {
-		return c.eng.CellValue(c.a0, cell), nil
-	}
-	scratch := c.blockScratch.Get().(*[]int)
-	p := c.a0
+	sc := c.scratch.Get().(*queryScratch)
+	defer c.scratch.Put(sc)
+	p, err := c.chain(sc, c.a0, cell)
+	return p, err
+}
+
+// chain multiplies every block's coefficients at the full cell onto acc,
+// block after block in term order — the accumulator order of direct
+// product evaluation.
+func (c *Compiled) chain(sc *queryScratch, acc float64, cell []int) (float64, error) {
 	for _, b := range c.blocks {
-		localCell := (*scratch)[:len(b.vars)]
-		for li, gp := range b.vars {
-			localCell[li] = cell[gp]
+		local := sc.cell[:len(b.vars)]
+		for li, p := range b.vars {
+			local[li] = cell[p]
 		}
 		var err error
-		if p, err = b.eng.CellValue(p, localCell); err != nil {
-			c.blockScratch.Put(scratch)
+		if acc, err = b.eng.CellValue(acc, local); err != nil {
 			return 0, err
 		}
 	}
-	c.blockScratch.Put(scratch)
-	return p, nil
+	return acc, nil
 }
 
 // MaxCell returns the most probable full cell agreeing with fixed
 // (fixed[i] >= 0 pins attribute i; any negative entry leaves it free; nil
 // leaves every attribute free) and that cell's normalized probability —
 // the MPE/MAP primitive. Ties break toward lexicographically smaller
-// cells. Dense snapshots enumerate the pinned joint space; factored
-// snapshots take the argmax independently per block — exact, because the
+// cells. The argmax is taken independently per block — exact, because the
 // distribution is a product over blocks — so wide-model MPE costs the sum
 // of the block sizes, never the joint.
 func (c *Compiled) MaxCell(fixed []int) ([]int, float64, error) {
 	r := len(c.cards)
-	if fixed == nil {
-		fixed = make([]int, r)
-		for i := range fixed {
-			fixed[i] = -1
-		}
-	}
-	if len(fixed) != r {
+	if fixed != nil && len(fixed) != r {
 		return nil, 0, fmt.Errorf("maxent: %d pins for %d attributes", len(fixed), r)
 	}
 	for i, v := range fixed {
@@ -469,52 +531,16 @@ func (c *Compiled) MaxCell(fixed []int) ([]int, float64, error) {
 			return nil, 0, fmt.Errorf("maxent: value %d out of range for attribute %d", v, i)
 		}
 	}
-	best := make([]int, r)
-	if c.eng != nil {
-		cell := make([]int, r)
-		var free []int
-		for i, v := range fixed {
-			if v >= 0 {
-				cell[i] = v
-			} else {
-				free = append(free, i)
-			}
-		}
-		bestP := -1.0
-		for {
-			if p := c.eng.CellValue(c.a0, cell); p > bestP {
-				bestP = p
-				copy(best, cell)
-			}
-			i := len(free) - 1
-			for i >= 0 {
-				cell[free[i]]++
-				if cell[free[i]] < c.cards[free[i]] {
-					break
-				}
-				cell[free[i]] = 0
-				i--
-			}
-			if i < 0 || len(free) == 0 {
-				break
-			}
-		}
-		return best, bestP, nil
-	}
+	sc := c.scratch.Get().(*queryScratch)
+	defer c.scratch.Put(sc)
 	// Per-block argmax in local row-major order: within a block the local
 	// order is the block's attributes ascending, so ArgmaxFixed's tie-break
 	// keeps the block-lexicographically smallest maximizer — which composes
 	// to the globally lexicographically smallest one, blocks being
 	// independent.
+	best := make([]int, r)
 	for _, b := range c.blocks {
-		localFixed := make([]int, len(b.vars))
-		for li, p := range b.vars {
-			localFixed[li] = -1
-			if fixed[p] >= 0 {
-				localFixed[li] = fixed[p]
-			}
-		}
-		bestLocal, err := b.eng.ArgmaxFixed(localFixed)
+		bestLocal, err := b.eng.ArgmaxFixed(sc.clamp(b, fixed))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -522,7 +548,7 @@ func (c *Compiled) MaxCell(fixed []int) ([]int, float64, error) {
 			best[p] = bestLocal[li]
 		}
 	}
-	p, err := c.CellProb(best)
+	p, err := c.chain(sc, c.a0, best)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -531,32 +557,27 @@ func (c *Compiled) MaxCell(fixed []int) ([]int, float64, error) {
 
 // Joint materializes the full normalized joint distribution in row-major
 // order (attribute 0 slowest). Intended for small spaces, validation, and
-// tests. Factored-mode snapshots materialize by cell-probability products
-// while the space fits under maxDenseCells and refuse beyond it — wide
-// models must be queried through marginals instead.
+// tests: each cell chains the blocks' coefficient products from 1 and
+// multiplies by a0 last, and a space beyond maxDenseCells is refused —
+// wide models must be queried through marginals instead.
 func (c *Compiled) Joint() ([]float64, error) {
-	if c.eng != nil {
-		joint := c.eng.FullJoint()
-		for i := range joint {
-			joint[i] *= c.a0
-		}
-		return joint, nil
-	}
 	size := 1
 	for _, card := range c.cards {
 		if size > maxDenseCells/card {
-			return nil, fmt.Errorf("maxent: joint space too large to materialize (factored model over %d attributes)", len(c.cards))
+			return nil, fmt.Errorf("maxent: joint space too large to materialize (model over %d attributes)", len(c.cards))
 		}
 		size *= card
 	}
+	sc := c.scratch.Get().(*queryScratch)
+	defer c.scratch.Put(sc)
 	joint := make([]float64, size)
 	cell := make([]int, len(c.cards))
 	for i := range joint {
-		p, err := c.CellProb(cell)
+		p, err := c.chain(sc, 1, cell)
 		if err != nil {
 			return nil, err
 		}
-		joint[i] = p
+		joint[i] = p * c.a0
 		for j := len(cell) - 1; j >= 0; j-- {
 			cell[j]++
 			if cell[j] < c.cards[j] {
@@ -568,12 +589,9 @@ func (c *Compiled) Joint() ([]float64, error) {
 	return joint, nil
 }
 
-// Sum returns the unnormalized total Σ Π coefficients (1/a0 after a fit);
-// in factored mode, the product of the block sums.
+// Sum returns the unnormalized total Σ Π coefficients (1/a0 after a fit):
+// the product of the block sums.
 func (c *Compiled) Sum() float64 {
-	if c.eng != nil {
-		return c.eng.Sum()
-	}
 	s := 1.0
 	for _, b := range c.blocks {
 		s *= b.sum
@@ -582,29 +600,20 @@ func (c *Compiled) Sum() float64 {
 }
 
 // constraintRatio returns the model's predicted probability of a constraint
-// cell — the convergence measure Residual compares against targets. sum is
-// the caller's precomputed Sum(), shared across constraints so the dense
-// branch does not repeat the full elimination sweep per constraint.
-func (c *Compiled) constraintRatio(cons Constraint, sum float64) float64 {
+// cell — the convergence measure Residual compares against targets: the
+// product, over the blocks the constraint touches, of the pinned block sum
+// over the cached block sum.
+func (c *Compiled) constraintRatio(cons Constraint) float64 {
 	members := cons.Family.Members()
-	if c.eng != nil {
-		return c.eng.SumPinned(members, cons.Values) / sum
-	}
+	sc := c.scratch.Get().(*queryScratch)
+	defer c.scratch.Put(sc)
 	ratio := 1.0
-	lv := make([]int, 0, len(members))
-	lvals := make([]int, 0, len(members))
 	for _, b := range c.blocks {
-		lv, lvals = lv[:0], lvals[:0]
-		for i, p := range members {
-			if li := b.local[p]; li >= 0 {
-				lv = append(lv, li)
-				lvals = append(lvals, cons.Values[i])
-			}
-		}
-		if len(lv) > 0 {
+		sc.pin(b, members, cons.Values)
+		if len(sc.lv) > 0 {
 			// Fitting only ever runs over in-process engines, whose
 			// SumPinned cannot fail.
-			s, _ := b.eng.SumPinned(lv, lvals)
+			s, _ := b.eng.SumPinned(sc.lv, sc.lvals)
 			ratio *= s / b.sum
 		}
 	}

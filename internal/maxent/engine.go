@@ -6,19 +6,21 @@ import (
 	"pka/internal/sumprod"
 )
 
-// BlockEngine is the evaluation surface of one constraint block of a
-// factored snapshot: the five primitives Compiled's combination loops call
-// per block, plus the block-local argmax the MPE path needs. The in-process
-// implementation wraps a compiled sum-product engine; the serving layer
-// implements it over HTTP so one factored model can be sharded across
-// processes while every combination loop — and therefore every served
-// probability — runs the exact same code and multiplication order as a
-// single process.
+// BlockEngine is the evaluation surface of one block of a snapshot: the
+// five primitives Compiled's combination loops call per block, plus the
+// block-local argmax the MPE path needs. Every snapshot is a list of
+// blocks — a single-block model is the one-component case — so every query
+// runs through this interface. The in-process implementation wraps a
+// compiled sum-product engine; the serving layer implements it over HTTP
+// so one factored model can be sharded across processes while every
+// combination loop — and therefore every served probability — runs the
+// exact same code and multiplication order as a single process.
 //
 // All positions and cells are block-local (0..len(block vars)). Callers may
 // reuse argument slices between calls; implementations must not retain
-// them. Implementations that cannot fail (the in-process engine) return nil
-// errors; remote implementations surface transport failures.
+// them, and the slices they return belong to the caller. Implementations
+// that cannot fail (the in-process engine) return nil errors; remote
+// implementations surface transport failures.
 type BlockEngine interface {
 	// Sum returns the unnormalized block total Σ Π coeffs.
 	Sum() (float64, error)
@@ -104,12 +106,7 @@ func NewDistributed(names []string, cards []int, a0 float64, blocks []RemoteBloc
 	for i := range owner {
 		owner[i] = -1
 	}
-	c := &Compiled{
-		names: append([]string(nil), names...),
-		cards: append([]int(nil), cards...),
-		a0:    a0,
-	}
-	maxW := 0
+	cbs := make([]*compiledBlock, 0, len(blocks))
 	for bi, rb := range blocks {
 		if rb.Eng == nil {
 			return nil, fmt.Errorf("maxent: distributed block %d has no engine", bi)
@@ -141,25 +138,18 @@ func NewDistributed(names []string, cards []int, a0 float64, blocks []RemoteBloc
 			b.cards[i] = cards[p]
 			b.local[p] = i
 		}
-		if len(b.vars) > maxW {
-			maxW = len(b.vars)
-		}
-		c.blocks = append(c.blocks, b)
+		cbs = append(cbs, b)
 	}
 	for p, bi := range owner {
 		if bi < 0 {
 			return nil, fmt.Errorf("maxent: attribute %d not covered by any distributed block", p)
 		}
 	}
-	c.blockScratch.New = func() any {
-		s := make([]int, maxW)
-		return &s
-	}
-	return c, nil
+	return newCompiled(names, cards, a0, cbs), nil
 }
 
-// NumBlocks returns the number of constraint blocks of a factored snapshot
-// (0 in dense mode).
+// NumBlocks returns the number of blocks the snapshot evaluates over: 1
+// for a single-block model, one per constraint-graph component otherwise.
 func (c *Compiled) NumBlocks() int { return len(c.blocks) }
 
 // BlockVars returns a copy of block i's global attribute positions,

@@ -5,18 +5,19 @@ import (
 	"math"
 
 	"pka/internal/contingency"
-	"pka/internal/sumprod"
 )
 
 // Export/RestoreModel are the binary-snapshot hooks: a fitted model dumps
-// everything its compiled engine was built from — coefficients, a0, and in
-// factored mode the per-block normalizer state — and RestoreModel rebuilds
-// model plus engine from that state without touching the solver. Engine
-// compilation from known coefficients is cheap (a deep copy per term); the
-// expensive part a snapshot skips is the iterative fit and, in factored
-// mode, the per-block sum accumulation, whose float ordering differs from
-// eng.Sum() and therefore must travel in the snapshot for the restored
-// engine to be bit-identical to the saved one.
+// everything its compiled engine was built from — coefficients, a0, and
+// for a multi-block (factored) snapshot the per-block normalizer state —
+// and RestoreModel rebuilds model plus engine from that state without
+// touching the solver. Engine compilation from known coefficients is cheap
+// (a deep copy per term); the expensive part a snapshot skips is the
+// iterative fit and, for a factored snapshot, the per-block sum
+// accumulation, which travels in the snapshot so the restored engine is
+// bit-identical to the saved one. A single-block snapshot stores no
+// blocks: its one block's sum is recomputed by its engine, exactly as
+// Compile computes it.
 
 // FamilyState is one attribute family's dense coefficient array.
 type FamilyState struct {
@@ -35,9 +36,10 @@ type BlockState struct {
 	HasA0 bool
 }
 
-// ModelState is the full serializable state of a fitted model. Blocks is
-// populated only when Factored is set; block order matches the model's
-// deterministic constraint-graph decomposition (ascending smallest member).
+// ModelState is the full serializable state of a fitted model. Factored is
+// set when the snapshot has more than one block, and Blocks is populated
+// only then; block order matches the model's deterministic
+// constraint-graph decomposition (ascending smallest member).
 type ModelState struct {
 	Names       []string
 	Cards       []int
@@ -100,8 +102,8 @@ func (m *Model) Export() (*ModelState, error) {
 // sizes, family/constraint agreement — but the model is bulk-constructed
 // (taking ownership of the state's slices) instead of built one
 // AddConstraint at a time: restore is the serving cold-start hot path. In
-// factored mode the block structure must match what the constraint graph
-// implies.
+// a factored snapshot the block structure must match what the constraint
+// graph implies.
 func RestoreModel(st *ModelState) (*Model, error) {
 	nm, err := NewModel(st.Names, st.Cards)
 	if err != nil {
@@ -188,62 +190,44 @@ func RestoreModel(st *ModelState) (*Model, error) {
 	return nm, nil
 }
 
-// restoreCompiled rebuilds the compiled engine from restored coefficients
-// plus the stored per-block sums, bypassing the per-block Sum()
-// accumulation whose result the snapshot pins bit-for-bit.
+// restoreCompiled rebuilds the compiled engine from restored coefficients.
+// A factored snapshot also carries its per-block sums, which bypass the
+// per-block Sum() accumulation whose result the snapshot pins bit for bit;
+// any other snapshot restores as the single block over every attribute.
 func (m *Model) restoreCompiled(st *ModelState) error {
-	c := &Compiled{
-		names: append([]string(nil), m.names...),
-		cards: append([]int(nil), m.cards...),
-		a0:    m.a0,
-	}
-	if !st.Factored {
-		if m.NumCells() > maxDenseCells {
-			return fmt.Errorf("maxent: restoring model: dense snapshot over %d attributes exceeds the dense ceiling", len(m.cards))
+	parts := m.wholeBlock()
+	var sums []float64
+	if st.Factored {
+		parts = m.blocks()
+		if len(parts) != len(st.Blocks) {
+			return fmt.Errorf("maxent: restoring model: snapshot has %d blocks, constraint graph has %d",
+				len(st.Blocks), len(parts))
 		}
-		eng, err := sumprod.Compile(m.cards, m.terms())
-		if err != nil {
-			return fmt.Errorf("maxent: restoring model: %w", err)
-		}
-		c.eng = eng
-		m.compiled.Store(c)
-		return nil
-	}
-	blocks := m.blocks()
-	if len(blocks) != len(st.Blocks) {
-		return fmt.Errorf("maxent: restoring model: snapshot has %d blocks, constraint graph has %d",
-			len(st.Blocks), len(blocks))
-	}
-	c.blocks = make([]*compiledBlock, len(blocks))
-	fams := m.sortedFamilyTerms()
-	var ar blockArena
-	maxW := 0
-	for i, blk := range blocks {
-		bs := st.Blocks[i]
-		if len(bs.Vars) != len(blk) {
-			return fmt.Errorf("maxent: restoring model: block %d structure mismatch", i)
-		}
-		for j, p := range blk {
-			if bs.Vars[j] != p {
+		sums = make([]float64, len(parts))
+		for i, blk := range parts {
+			bs := st.Blocks[i]
+			if len(bs.Vars) != len(blk) {
 				return fmt.Errorf("maxent: restoring model: block %d structure mismatch", i)
 			}
+			for j, p := range blk {
+				if bs.Vars[j] != p {
+					return fmt.Errorf("maxent: restoring model: block %d structure mismatch", i)
+				}
+			}
+			if !(bs.Sum > 0) || math.IsInf(bs.Sum, 0) {
+				return fmt.Errorf("maxent: restoring model: degenerate sum %g for block %v", bs.Sum, blk)
+			}
+			if _, err := m.blockDenseSize(blk); err != nil {
+				return fmt.Errorf("maxent: restoring model: %w", err)
+			}
+			sums[i] = bs.Sum
 		}
-		if !(bs.Sum > 0) || math.IsInf(bs.Sum, 0) {
-			return fmt.Errorf("maxent: restoring model: degenerate sum %g for block %v", bs.Sum, blk)
-		}
-		b, err := m.buildBlock(blk, fams, &ar)
-		if err != nil {
-			return fmt.Errorf("maxent: restoring model: %w", err)
-		}
-		b.sum = bs.Sum
-		c.blocks[i] = b
-		if len(blk) > maxW {
-			maxW = len(blk)
-		}
+	} else if m.NumCells() > maxDenseCells {
+		return fmt.Errorf("maxent: restoring model: dense snapshot over %d attributes exceeds the dense ceiling", len(m.cards))
 	}
-	c.blockScratch.New = func() any {
-		s := make([]int, maxW)
-		return &s
+	c, err := m.buildCompiled(parts, sums)
+	if err != nil {
+		return fmt.Errorf("maxent: restoring model: %w", err)
 	}
 	m.compiled.Store(c)
 	return nil

@@ -336,7 +336,7 @@ func (m *Model) Marginal(vars contingency.VarSet) ([]float64, error) {
 
 // Joint materializes the full normalized joint distribution in row-major
 // order (attribute 0 slowest). Intended for small spaces and tests; it
-// fails on factored models whose joint space exceeds maxDenseCells.
+// fails on models whose joint space exceeds maxDenseCells.
 func (m *Model) Joint() ([]float64, error) {
 	c, err := m.Compile()
 	if err != nil {
@@ -367,7 +367,7 @@ func (m *Model) Residual() (float64, error) {
 	}
 	worst := 0.0
 	for _, cons := range m.cons {
-		q := c.constraintRatio(cons, sum)
+		q := c.constraintRatio(cons)
 		if d := math.Abs(q - cons.Target); d > worst {
 			worst = d
 		}

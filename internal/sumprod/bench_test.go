@@ -131,7 +131,7 @@ func BenchmarkCompiledMarginal(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ce.Marginal(family); err != nil {
+			if _, err := ce.MarginalFixed(family, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -19,14 +19,13 @@ import (
 // (the equivalence tests assert this with ==).
 //
 // On top of the per-query Sum/SumPinned primitives, Compiled adds a batch
-// marginal: Marginal computes every cell of a family's marginal in one
+// marginal: MarginalFixed computes every cell of a family's marginal in one
 // elimination sweep by keeping the family's variables un-eliminated, instead
 // of running one full SumFixed recursion per cell.
 type Compiled struct {
 	cards   []int
 	terms   []Term  // coefficient snapshots, deep-copied at Compile time
 	byLevel [][]int // byLevel[n] = indices of terms whose highest var is n
-	size    int     // full joint size
 	scratch sync.Pool
 }
 
@@ -47,18 +46,15 @@ func Compile(cards []int, terms []Term) (*Compiled, error) {
 	if len(cards) == 0 {
 		return nil, fmt.Errorf("sumprod: compiled engine needs at least one attribute")
 	}
-	size := 1
 	for i, card := range cards {
 		if card < 1 {
 			return nil, fmt.Errorf("sumprod: attribute %d has cardinality %d", i, card)
 		}
-		size *= card
 	}
 	c := &Compiled{
 		cards:   append([]int(nil), cards...),
 		terms:   make([]Term, len(terms)),
 		byLevel: make([][]int, len(cards)),
-		size:    size,
 	}
 	// The deep copies share one backing array per kind: engines are compiled
 	// per block on the snapshot-restore cold-start path, where two
@@ -98,9 +94,6 @@ func Compile(cards []int, terms []Term) (*Compiled, error) {
 
 // Cards returns a copy of the attribute cardinalities.
 func (c *Compiled) Cards() []int { return append([]int(nil), c.cards...) }
-
-// NumCells returns the size of the full joint space.
-func (c *Compiled) NumCells() int { return c.size }
 
 // getScratch pops a scratch from the pool with the pin state reset.
 func (c *Compiled) getScratch() *foldScratch {
@@ -255,20 +248,17 @@ func (c *Compiled) SumPinned(vars []int, values []int) float64 {
 	return res
 }
 
-// Marginal computes every cell of the family's marginal sum in one
+// MarginalFixed computes every cell of the family's marginal sum in one
 // elimination sweep: variables in vars (ascending attribute positions) are
-// kept, all others are summed out. The result is dense row-major over the
-// kept variables, first listed slowest — the order an odometer over the
-// family's value space visits cells. Each entry is bit-identical to the
-// SumFixed call that pins the family to that cell.
-func (c *Compiled) Marginal(vars []int) ([]float64, error) {
-	return c.MarginalFixed(vars, nil)
-}
-
-// MarginalFixed is Marginal with additional clamps: fixed[v] >= 0 pins
+// kept, all others are summed out unless clamped. fixed[v] >= 0 pins
 // variable v (which must not also be listed in vars), -1 or out-of-length
-// leaves it summed over. This computes a whole conditional slice — e.g.
-// every value of a target attribute under fixed evidence — in one sweep.
+// leaves it summed over; nil pins nothing. The result is dense row-major
+// over the kept variables, first listed slowest — the order an odometer
+// over the family's value space visits cells — and each entry is
+// bit-identical to the SumFixed call that pins the family to that cell
+// (plus the clamps). With clamps this computes a whole conditional slice —
+// e.g. every value of a target attribute under fixed evidence — in one
+// sweep.
 func (c *Compiled) MarginalFixed(vars []int, fixed []int) ([]float64, error) {
 	if len(vars) == 0 {
 		return nil, fmt.Errorf("sumprod: batch marginal needs at least one kept variable")
@@ -367,20 +357,4 @@ func (c *Compiled) ArgmaxFixed(fixed []int) ([]int, error) {
 		}
 	}
 	return best, nil
-}
-
-// FullJoint materializes the complete (unnormalized) product over every cell
-// in row-major order, bit-identical to Evaluator.FullJoint.
-func (c *Compiled) FullJoint() []float64 {
-	out := make([]float64, c.size)
-	cell := make([]int, len(c.cards))
-	for off := 0; off < c.size; off++ {
-		rem := off
-		for v := len(c.cards) - 1; v >= 0; v-- {
-			cell[v] = rem % c.cards[v]
-			rem /= c.cards[v]
-		}
-		out[off] = c.CellValue(1, cell)
-	}
-	return out
 }

@@ -23,7 +23,7 @@
 //     fixes the elimination plan, and pools scratch buffers, making every
 //     query allocation-free and safe for unlimited concurrent callers. On
 //     top of the per-query primitives (Sum, SumFixed, SumPinned) it adds
-//     batch marginals: Marginal/MarginalFixed keep a family's variables
+//     batch marginals: MarginalFixed keeps a family's variables
 //     un-eliminated through one sweep and return every cell of the marginal
 //     at once, instead of one full recursion per cell.
 //
